@@ -5,26 +5,29 @@ namespace farmer {
 double CoMiner::correlation_degree(FileId pred, const Signature& pred_sig,
                                    FileId succ,
                                    const Signature& succ_sig) const {
-  const double sim = similarity(pred_sig, succ_sig);
-  const double freq = graph_.access_frequency(pred, succ);
-  return cfg_.p * sim + (1.0 - cfg_.p) * freq;
+  return degree(similarity(pred_sig, succ_sig),
+                graph_.access_frequency(pred, succ));
 }
 
-double CoMiner::evaluate_pair(FileId pred, const Signature& pred_sig,
-                              FileId succ, const Signature& succ_sig) {
-  const double degree = correlation_degree(pred, pred_sig, succ, succ_sig);
+double CoMiner::evaluate_pair(CorrelationGraph::Node& pred,
+                              const Signature& pred_sig, FileId succ,
+                              const Signature& succ_sig, double nab) {
+  const double freq =
+      pred.access_count == 0
+          ? 0.0
+          : nab / static_cast<double>(pred.access_count);
+  const double r = degree(similarity(pred_sig, succ_sig), freq);
   ++stats_.pairs_evaluated;
-  if (degree >= cfg_.max_strength) {
+  if (r >= cfg_.max_strength) {
     ++stats_.pairs_accepted;
-    graph_.upsert_correlator(pred,
-                             {succ, static_cast<float>(degree)});
+    graph_.upsert_correlator(pred, {succ, static_cast<float>(r)});
   } else {
     ++stats_.pairs_filtered;
     // Correlations decay: a pair once valid can fall below the threshold as
     // N_pred grows; keep the list honest.
-    graph_.remove_correlator(pred, succ);
+    CorrelationGraph::remove_correlator(pred, succ);
   }
-  return degree;
+  return r;
 }
 
 }  // namespace farmer

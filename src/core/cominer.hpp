@@ -44,14 +44,17 @@ class CoMiner {
   CoMiner(const FarmerConfig& cfg, CorrelationGraph& graph, CoMinerStats stats)
       : cfg_(cfg), graph_(graph), stats_(stats) {}
 
-  /// Evaluates R(pred, succ) from the given signatures and the graph's
-  /// current frequency state, then updates pred's Correlator List: the pair
-  /// is inserted/updated when valid, removed when it has fallen below the
-  /// threshold. Returns the degree.
-  double evaluate_pair(FileId pred, const Signature& pred_sig, FileId succ,
-                       const Signature& succ_sig);
+  /// Stages 3 + 4 for one observed pair, on the predecessor's node as the
+  /// ingest kernel resolved it through the graph's write gate: `nab` is
+  /// N_pred,succ right after the pair's edge update (0 when the edge was
+  /// not kept). Evaluates R(pred, succ) with F = nab / N_pred, then updates
+  /// the node's Correlator List: the pair is inserted/updated when valid,
+  /// removed when it has fallen below the threshold. Returns the degree.
+  double evaluate_pair(CorrelationGraph::Node& pred, const Signature& pred_sig,
+                       FileId succ, const Signature& succ_sig, double nab);
 
-  /// Pure evaluation without list maintenance (analysis/tests).
+  /// Pure evaluation from the graph's current state, without list
+  /// maintenance (query path, analysis, tests).
   [[nodiscard]] double correlation_degree(FileId pred,
                                           const Signature& pred_sig,
                                           FileId succ,
@@ -65,6 +68,11 @@ class CoMiner {
   void set_stats(CoMinerStats stats) noexcept { stats_ = stats; }
 
  private:
+  /// Function 2: R = p * sim + (1 - p) * F.
+  [[nodiscard]] double degree(double sim, double freq) const noexcept {
+    return cfg_.p * sim + (1.0 - cfg_.p) * freq;
+  }
+
   const FarmerConfig& cfg_;
   CorrelationGraph& graph_;
   CoMinerStats stats_;

@@ -111,7 +111,10 @@ void Farmer::observe_impl(const TraceRecord& rec) {
   }
 
   // Stage 2 — Constructing: N_file and LDA-weighted N_{pred,file} updates.
-  graph_.record_access(file);
+  // The file's graph node passes the COW write gate once per record: the
+  // N_file increment and the Correlator-List refresh below both run on it.
+  CorrelationGraph::Node& node = graph_.mutate(file);
+  ++node.access_count;
   const Signature& file_sig = st.sig;
 
   // Refresh the *frequency* component of `file`'s Correlator List: N_file
@@ -123,17 +126,17 @@ void Farmer::observe_impl(const TraceRecord& rec) {
   // 1/N and eventually fall below the validity threshold.
   //
   // N_file, the N/(N-1) rescale and the frequency weight are invariant
-  // across the loop, and the successor set is fetched once — the per-entry
-  // work is one edge scan and a handful of flops.
-  auto& list = graph_.correlators(file);
+  // across the loop — the per-entry work is one edge scan and a handful of
+  // flops.
+  auto& list = node.correlator_list;
   if (!list.empty()) {
-    const auto& succs = graph_.successors(file);
-    const double n = static_cast<double>(graph_.access_count(file));
+    const auto& succs = node.successors;
+    const double n = static_cast<double>(node.access_count);
     const double rescale = n / std::max(1.0, n - 1.0);
     const double freq_w = 1.0 - cfg_.p;
     for (std::size_t i = list.size(); i-- > 0;) {
-      const FileId succ = list[i].file;
-      const double freq = CorrelationGraph::edge_weight_in(succs, succ) / n;
+      const double freq =
+          CorrelationGraph::edge_weight_in(succs, list[i].file) / n;
       // Recover the semantic part from the stored degree under the
       // *previous* N (freq scaled by N/(N-1)); algebraically equivalent to
       // caching sim.
@@ -141,7 +144,7 @@ void Farmer::observe_impl(const TraceRecord& rec) {
       const double sem = static_cast<double>(list[i].degree) - freq_w * prev_freq;
       const double degree = sem + freq_w * freq;
       if (degree < cfg_.max_strength)
-        graph_.remove_correlator(file, succ);
+        list.erase_at(i);  // list FileIds are unique: entry i is the pair
       else
         list[i].degree = static_cast<float>(degree);
     }
@@ -164,12 +167,16 @@ void Farmer::observe_impl(const TraceRecord& rec) {
   window_.for_each_predecessor(file, [&](FileId pred, std::size_t distance) {
     const double w = AccessWindow::lda_weight(distance, cfg_.lda_delta);
     if (w <= 0.0) return;
-    graph_.add_transition(pred, file, w);
-    // Stages 3 + 4 — Mining & Evaluating, then Sorting: only pairs touched
+    // Each predecessor's node passes the gate once per pair: the edge
+    // update hands back N_pred,file, and Stages 3 + 4 — Mining &
+    // Evaluating, then Sorting — run on that same node. Only pairs touched
     // by this request are (re-)evaluated; the Correlator List insert keeps
     // the list ordered.
+    CorrelationGraph::Node& pn = graph_.mutate(pred);
+    const SuccessorEdge* edge = graph_.add_transition(pn, file, w);
     if (const FileState* ps = state_of(pred))
-      miner_.evaluate_pair(pred, ps->sig, file, file_sig);
+      miner_.evaluate_pair(pn, ps->sig, file, file_sig,
+                           edge ? static_cast<double>(edge->nab) : 0.0);
   });
   window_.push(file);
 }

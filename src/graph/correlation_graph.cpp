@@ -1,6 +1,5 @@
 #include "graph/correlation_graph.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace farmer {
@@ -17,37 +16,39 @@ void CorrelationGraph::touch(FileId f) {
   nodes_.grow_to(static_cast<std::size_t>(f.value()) + 1);
 }
 
-void CorrelationGraph::record_access(FileId f) { ++at(f).access_count; }
-
 bool CorrelationGraph::add_transition(FileId pred, FileId succ,
                                       double weight) {
   if (weight <= 0.0 || pred == succ) return false;
-  // Register succ in the dense index before mutating pred's node (block
-  // addresses are stable, but the historical order is kept — and touch()
-  // is what gives node_count() its dense-table meaning).
+  // Register succ in the dense index before mutating pred's node: touch()
+  // is what gives node_count() its dense-table meaning.
   touch(succ);
-  Node& node = at(pred);
-  for (auto& e : node.successors) {
-    if (e.successor == succ) {
-      e.nab += static_cast<float>(weight);
-      return true;
-    }
+  return add_transition(mutate(pred), succ, weight) != nullptr;
+}
+
+SuccessorEdge* CorrelationGraph::add_transition(Node& pred, FileId succ,
+                                                double weight) {
+  assert(weight > 0.0);
+  assert(static_cast<std::size_t>(succ.value()) < nodes_.size());
+  auto& succs = pred.successors;
+  const std::size_t n = succs.size();
+  const std::size_t i = find_successor(succs.data(), n, succ);
+  if (i < n) {
+    succs[i].nab += static_cast<float>(weight);
+    return &succs[i];
   }
-  if (node.successors.size() < cfg_.max_successors) {
-    node.successors.push_back({succ, static_cast<float>(weight)});
+  if (n < cfg_.max_successors) {
+    succs.push_back({succ, static_cast<float>(weight)});
     ++edges_;
-    return true;
+    return &succs.back();
   }
   // Successor set full: evict the weakest edge if the newcomer beats it.
   // This is the filtering that keeps the graph's footprint bounded.
-  std::size_t weakest = 0;
-  for (std::size_t i = 1; i < node.successors.size(); ++i)
-    if (node.successors[i].nab < node.successors[weakest].nab) weakest = i;
-  if (static_cast<double>(node.successors[weakest].nab) < weight) {
-    node.successors[weakest] = {succ, static_cast<float>(weight)};
-    return true;
+  SuccessorEdge& weakest = succs[weakest_successor(succs.data(), n)];
+  if (static_cast<double>(weakest.nab) < weight) {
+    weakest = {succ, static_cast<float>(weight)};
+    return &weakest;
   }
-  return false;
+  return nullptr;
 }
 
 std::uint64_t CorrelationGraph::access_count(FileId f) const noexcept {
@@ -73,18 +74,14 @@ const SmallVector<SuccessorEdge, 8>& CorrelationGraph::successors(
   return n ? n->successors : kNoSuccessors;
 }
 
-SmallVector<Correlator, 4>& CorrelationGraph::correlators(FileId f) {
-  return at(f).correlator_list;
-}
-
 const SmallVector<Correlator, 4>& CorrelationGraph::correlators(
     FileId f) const noexcept {
   const Node* n = find(f);
   return n ? n->correlator_list : kNoCorrelators;
 }
 
-void CorrelationGraph::upsert_correlator(FileId f, Correlator c) {
-  auto& list = at(f).correlator_list;
+void CorrelationGraph::upsert_correlator(Node& node, Correlator c) const {
+  auto& list = node.correlator_list;
   // Remove any stale entry for the same successor, then insert in sorted
   // position (descending degree). Lists are tiny (<= correlator_capacity),
   // so linear work beats any clever structure.
@@ -107,7 +104,7 @@ void CorrelationGraph::restore_node(FileId f, std::uint64_t access_count,
                                     std::span<const SuccessorEdge> succs,
                                     std::span<const Correlator> correlators) {
   assert(!has_node(f));
-  Node& node = at(f);
+  Node& node = mutate(f);
   node.access_count = access_count;
   node.successors.reserve(succs.size());
   for (const SuccessorEdge& e : succs) node.successors.push_back(e);
@@ -116,8 +113,8 @@ void CorrelationGraph::restore_node(FileId f, std::uint64_t access_count,
   edges_ += succs.size();
 }
 
-void CorrelationGraph::remove_correlator(FileId f, FileId succ) {
-  auto& list = at(f).correlator_list;
+void CorrelationGraph::remove_correlator(Node& node, FileId succ) noexcept {
+  auto& list = node.correlator_list;
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (list[i].file == succ) {
       list.erase_at(i);

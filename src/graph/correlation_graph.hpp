@@ -23,9 +23,17 @@
 // N_AB).
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/cow_store.hpp"
 #include "common/small_vector.hpp"
@@ -45,11 +53,116 @@ struct Correlator {
   float degree = 0.0f;  ///< file correlation degree R(A, B)
 };
 
+// Successor-set scans. A node holds up to `max_successors` (16 by default)
+// edges, and every ingest pair scans them once or twice, so both scans have
+// an SSE2 form (the x86-64 baseline, no flag needed) next to the portable
+// scalar loop. The scalar forms are always compiled: they are the fallback
+// on other targets and the reference the SSE2 forms are tested against.
+
+/// Index of the edge to `succ` in edges[0, n), or n when absent.
+[[nodiscard]] inline std::size_t find_successor_scalar(
+    const SuccessorEdge* edges, std::size_t n, FileId succ) noexcept {
+  for (std::size_t i = 0; i < n; ++i)
+    if (edges[i].successor == succ) return i;
+  return n;
+}
+
+/// Index of the weakest edge (smallest N_AB; the first one on ties) in
+/// edges[0, n), n > 0.
+[[nodiscard]] inline std::size_t weakest_successor_scalar(
+    const SuccessorEdge* edges, std::size_t n) noexcept {
+  assert(n > 0);
+  std::size_t weakest = 0;
+  for (std::size_t i = 1; i < n; ++i)
+    if (edges[i].nab < edges[weakest].nab) weakest = i;
+  return weakest;
+}
+
+#if defined(__SSE2__)
+namespace detail {
+static_assert(sizeof(SuccessorEdge) == 8 &&
+                  offsetof(SuccessorEdge, nab) == 4,
+              "the SSE2 scans read edges as {id, nab} 32-bit lane pairs");
+
+/// Lanes of four consecutive edges: `which` = _MM_SHUFFLE(2, 0, 2, 0)
+/// gathers their ids, _MM_SHUFFLE(3, 1, 3, 1) their N_AB floats.
+template <int Which>
+[[nodiscard]] inline __m128 edge_lanes(const SuccessorEdge* e) noexcept {
+  const __m128 lo = _mm_loadu_ps(reinterpret_cast<const float*>(e));
+  const __m128 hi = _mm_loadu_ps(reinterpret_cast<const float*>(e + 2));
+  return _mm_shuffle_ps(lo, hi, Which);
+}
+}  // namespace detail
+#endif
+
+/// find_successor_scalar, four ids per compare under SSE2. The shuffle
+/// keeps only the id lanes, so an N_AB float whose bits equal the id can
+/// never match.
+[[nodiscard]] inline std::size_t find_successor(const SuccessorEdge* edges,
+                                                std::size_t n,
+                                                FileId succ) noexcept {
+#if defined(__SSE2__)
+  const __m128i key = _mm_set1_epi32(static_cast<int>(succ.value()));
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128i ids = _mm_castps_si128(
+        detail::edge_lanes<_MM_SHUFFLE(2, 0, 2, 0)>(edges + i));
+    const int hit = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(ids, key)));
+    if (hit != 0)
+      return i + static_cast<std::size_t>(std::countr_zero(
+                     static_cast<unsigned>(hit)));
+  }
+  return i + find_successor_scalar(edges + i, n - i, succ);
+#else
+  return find_successor_scalar(edges, n, succ);
+#endif
+}
+
+/// weakest_successor_scalar under SSE2: the minimum N_AB first, then the
+/// first edge equal to it, which keeps the scalar rule that ties go to the
+/// first minimum (N_AB is a sum of positive weights, never NaN).
+[[nodiscard]] inline std::size_t weakest_successor(const SuccessorEdge* edges,
+                                                   std::size_t n) noexcept {
+#if defined(__SSE2__)
+  if (n >= 4) {
+    constexpr int kNab = _MM_SHUFFLE(3, 1, 3, 1);
+    __m128 lo = detail::edge_lanes<kNab>(edges);
+    std::size_t i = 4;
+    for (; i + 4 <= n; i += 4)
+      lo = _mm_min_ps(lo, detail::edge_lanes<kNab>(edges + i));
+    lo = _mm_min_ps(lo, _mm_movehl_ps(lo, lo));
+    lo = _mm_min_ss(lo, _mm_shuffle_ps(lo, lo, _MM_SHUFFLE(1, 1, 1, 1)));
+    float least = _mm_cvtss_f32(lo);
+    for (; i < n; ++i) least = std::min(least, edges[i].nab);
+    const __m128 key = _mm_set1_ps(least);
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const int hit = _mm_movemask_ps(
+          _mm_cmpeq_ps(detail::edge_lanes<kNab>(edges + j), key));
+      if (hit != 0)
+        return j + static_cast<std::size_t>(std::countr_zero(
+                       static_cast<unsigned>(hit)));
+    }
+    while (edges[j].nab != least) ++j;  // the minimum is in the tail
+    return j;
+  }
+#endif
+  return weakest_successor_scalar(edges, n);
+}
+
 class CorrelationGraph {
  public:
   struct Config {
     std::size_t max_successors = 16;  ///< bounded successor set per node
     std::size_t correlator_capacity = 8;  ///< max Correlator List length
+  };
+
+  /// Per-file node state. The ingest kernel resolves a node once through
+  /// the write gate (`mutate`) and runs every update of one step on it.
+  struct Node {
+    std::uint64_t access_count = 0;  ///< N_A
+    SmallVector<SuccessorEdge, 8> successors;
+    SmallVector<Correlator, 4> correlator_list;
   };
 
   CorrelationGraph();  // default Config
@@ -69,13 +182,27 @@ class CorrelationGraph {
   /// Ensures a node slot exists for `f`; grows the dense index as needed.
   void touch(FileId f);
 
+  /// The COW write gate: f's node, created when absent and cloned first
+  /// when a snapshot still shares it. Also grows the dense index to cover
+  /// `f`. The reference stays valid across later gates on other nodes
+  /// (block addresses are stable) until the graph is next shared or copied.
+  [[nodiscard]] Node& mutate(FileId f) {
+    return nodes_.mutate(static_cast<std::size_t>(f.value()));
+  }
+
   /// Records one access of `f` (increments N_f). Creates the node if new.
-  void record_access(FileId f);
+  void record_access(FileId f) { ++mutate(f).access_count; }
 
   /// Adds LDA weight to edge pred -> succ, creating it if absent. If the
   /// successor set is full, the weakest edge is evicted when its weight is
   /// below `weight`. Returns false if the edge was not inserted.
   bool add_transition(FileId pred, FileId succ, double weight);
+
+  /// add_transition on an already-resolved predecessor node: returns the
+  /// updated edge (its `nab` is the new N_pred,succ), or nullptr when the
+  /// edge was not inserted. `succ` must already be covered by the dense
+  /// index (the ingest kernel's gate on the accessed file grew it).
+  SuccessorEdge* add_transition(Node& pred, FileId succ, double weight);
 
   /// N_A: total recorded accesses of `f` (0 if unknown).
   [[nodiscard]] std::uint64_t access_count(FileId f) const noexcept;
@@ -89,9 +216,8 @@ class CorrelationGraph {
   /// find that edge_weight()/access_frequency() would repeat.
   [[nodiscard]] static double edge_weight_in(
       const SmallVector<SuccessorEdge, 8>& succs, FileId succ) noexcept {
-    for (const auto& e : succs)
-      if (e.successor == succ) return static_cast<double>(e.nab);
-    return 0.0;
+    const std::size_t i = find_successor(succs.data(), succs.size(), succ);
+    return i < succs.size() ? static_cast<double>(succs[i].nab) : 0.0;
   }
 
   /// F(A,B) = N_AB / N_A; 0 when N_A == 0.
@@ -102,20 +228,17 @@ class CorrelationGraph {
   [[nodiscard]] const SmallVector<SuccessorEdge, 8>& successors(
       FileId f) const noexcept;
 
-  /// Mutable Correlator List of `f` (maintained sorted by CoMiner). Goes
-  /// through the COW write gate: the node is cloned first when a snapshot
-  /// still shares it.
-  [[nodiscard]] SmallVector<Correlator, 4>& correlators(FileId f);
+  /// Correlator List of `f` (maintained sorted by CoMiner).
   [[nodiscard]] const SmallVector<Correlator, 4>& correlators(
       FileId f) const noexcept;
 
-  /// Replaces/inserts `c` in f's Correlator List keeping it sorted by
-  /// descending degree and capped at `correlator_capacity`. An existing
+  /// Replaces/inserts `c` in the node's Correlator List keeping it sorted
+  /// by descending degree and capped at `correlator_capacity`. An existing
   /// entry for the same file is updated in place (and re-sorted).
-  void upsert_correlator(FileId f, Correlator c);
+  void upsert_correlator(Node& node, Correlator c) const;
 
-  /// Removes the entry for `succ` from f's list if present.
-  void remove_correlator(FileId f, FileId succ);
+  /// Removes the entry for `succ` from the node's list if present.
+  static void remove_correlator(Node& node, FileId succ) noexcept;
 
   /// True when `f` has a populated node block (an access or an incoming
   /// transition created one); slots grown only by `touch()` read as absent.
@@ -159,18 +282,10 @@ class CorrelationGraph {
   [[nodiscard]] std::size_t footprint_bytes() const noexcept;
 
  private:
-  struct Node {
-    std::uint64_t access_count = 0;
-    SmallVector<SuccessorEdge, 8> successors;
-    SmallVector<Correlator, 4> correlator_list;
-  };
   using NodeStore = CowBlockStore<Node>;
 
   [[nodiscard]] const Node* find(FileId f) const noexcept {
     return nodes_.find(static_cast<std::size_t>(f.value()));
-  }
-  [[nodiscard]] Node& at(FileId f) {
-    return nodes_.mutate(static_cast<std::size_t>(f.value()));
   }
 
   Config cfg_;

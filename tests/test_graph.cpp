@@ -1,6 +1,12 @@
 // Unit tests for the correlation graph and the access window (LDA).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "graph/access_window.hpp"
 #include "graph/correlation_graph.hpp"
 
@@ -137,9 +143,10 @@ TEST(CorrelationGraph, BoundedSuccessorsEvictWeakest) {
 
 TEST(CorrelationGraph, CorrelatorListSortedDescending) {
   CorrelationGraph g;
-  g.upsert_correlator(FileId(0), {FileId(1), 0.5f});
-  g.upsert_correlator(FileId(0), {FileId(2), 0.9f});
-  g.upsert_correlator(FileId(0), {FileId(3), 0.7f});
+  auto& node = g.mutate(FileId(0));
+  g.upsert_correlator(node, {FileId(1), 0.5f});
+  g.upsert_correlator(node, {FileId(2), 0.9f});
+  g.upsert_correlator(node, {FileId(3), 0.7f});
   const auto& list = g.correlators(FileId(0));
   ASSERT_EQ(list.size(), 3u);
   EXPECT_EQ(list[0].file, FileId(2));
@@ -149,8 +156,9 @@ TEST(CorrelationGraph, CorrelatorListSortedDescending) {
 
 TEST(CorrelationGraph, CorrelatorUpsertReplacesInPlace) {
   CorrelationGraph g;
-  g.upsert_correlator(FileId(0), {FileId(1), 0.5f});
-  g.upsert_correlator(FileId(0), {FileId(1), 0.95f});
+  auto& node = g.mutate(FileId(0));
+  g.upsert_correlator(node, {FileId(1), 0.5f});
+  g.upsert_correlator(node, {FileId(1), 0.95f});
   const auto& list = g.correlators(FileId(0));
   ASSERT_EQ(list.size(), 1u);
   EXPECT_FLOAT_EQ(list[0].degree, 0.95f);
@@ -158,9 +166,9 @@ TEST(CorrelationGraph, CorrelatorUpsertReplacesInPlace) {
 
 TEST(CorrelationGraph, CorrelatorCapacityEnforced) {
   CorrelationGraph g({16, /*correlator_capacity=*/3});
+  auto& node = g.mutate(FileId(0));
   for (std::uint32_t i = 1; i <= 6; ++i)
-    g.upsert_correlator(FileId(0),
-                        {FileId(i), static_cast<float>(i) * 0.1f});
+    g.upsert_correlator(node, {FileId(i), static_cast<float>(i) * 0.1f});
   const auto& list = g.correlators(FileId(0));
   ASSERT_EQ(list.size(), 3u);
   // Strongest three survive: 0.6, 0.5, 0.4.
@@ -171,9 +179,10 @@ TEST(CorrelationGraph, CorrelatorCapacityEnforced) {
 
 TEST(CorrelationGraph, WeakEntryNotInsertedWhenFull) {
   CorrelationGraph g({16, 2});
-  g.upsert_correlator(FileId(0), {FileId(1), 0.9f});
-  g.upsert_correlator(FileId(0), {FileId(2), 0.8f});
-  g.upsert_correlator(FileId(0), {FileId(3), 0.1f});  // too weak
+  auto& node = g.mutate(FileId(0));
+  g.upsert_correlator(node, {FileId(1), 0.9f});
+  g.upsert_correlator(node, {FileId(2), 0.8f});
+  g.upsert_correlator(node, {FileId(3), 0.1f});  // too weak
   const auto& list = g.correlators(FileId(0));
   ASSERT_EQ(list.size(), 2u);
   EXPECT_EQ(list[0].file, FileId(1));
@@ -182,14 +191,37 @@ TEST(CorrelationGraph, WeakEntryNotInsertedWhenFull) {
 
 TEST(CorrelationGraph, RemoveCorrelator) {
   CorrelationGraph g;
-  g.upsert_correlator(FileId(0), {FileId(1), 0.5f});
-  g.upsert_correlator(FileId(0), {FileId(2), 0.6f});
-  g.remove_correlator(FileId(0), FileId(1));
+  auto& node = g.mutate(FileId(0));
+  g.upsert_correlator(node, {FileId(1), 0.5f});
+  g.upsert_correlator(node, {FileId(2), 0.6f});
+  CorrelationGraph::remove_correlator(node, FileId(1));
   const auto& list = g.correlators(FileId(0));
   ASSERT_EQ(list.size(), 1u);
   EXPECT_EQ(list[0].file, FileId(2));
-  g.remove_correlator(FileId(0), FileId(42));  // absent: no-op
+  CorrelationGraph::remove_correlator(node, FileId(42));  // absent: no-op
   EXPECT_EQ(g.correlators(FileId(0)).size(), 1u);
+}
+
+TEST(CorrelationGraph, NodeTransitionReturnsUpdatedEdge) {
+  CorrelationGraph g({/*max_successors=*/2, 8});
+  g.touch(FileId(3));
+  auto& node = g.mutate(FileId(0));
+  const SuccessorEdge* e = g.add_transition(node, FileId(1), 1.0);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->successor, FileId(1));
+  EXPECT_FLOAT_EQ(e->nab, 1.0f);
+  e = g.add_transition(node, FileId(1), 0.9);
+  ASSERT_NE(e, nullptr);
+  EXPECT_FLOAT_EQ(e->nab, 1.9f);
+  ASSERT_NE(g.add_transition(node, FileId(2), 0.5), nullptr);
+  // Full: a newcomer no stronger than the weakest edge is refused ...
+  EXPECT_EQ(g.add_transition(node, FileId(3), 0.5), nullptr);
+  // ... and a stronger one takes the weakest edge's slot.
+  e = g.add_transition(node, FileId(3), 0.8);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->successor, FileId(3));
+  EXPECT_DOUBLE_EQ(g.edge_weight(FileId(0), FileId(2)), 0.0);
+  EXPECT_EQ(g.edge_count(), 2u);
 }
 
 TEST(CorrelationGraph, UnknownFileQueriesAreEmpty) {
@@ -209,6 +241,118 @@ TEST(CorrelationGraph, NodeCountTracksHighestId) {
   CorrelationGraph g;
   g.record_access(FileId(9));
   EXPECT_EQ(g.node_count(), 10u);  // dense table
+}
+
+// ------------------------------------------------------- successor scans --
+//
+// find_successor / weakest_successor take an SSE2 path on x86-64 and fall
+// back to the *_scalar loops elsewhere. Both forms are checked against
+// plain references written here, over every set size the graph produces
+// (0..16 edges), with the edges both inline and spilled to the heap.
+
+using Edges = SmallVector<SuccessorEdge, 8>;
+
+std::size_t reference_find(const Edges& edges, FileId succ) {
+  const auto it = std::find_if(edges.begin(), edges.end(),
+                               [&](const SuccessorEdge& e) {
+                                 return e.successor == succ;
+                               });
+  return static_cast<std::size_t>(it - edges.begin());
+}
+
+std::size_t reference_weakest(const Edges& edges) {
+  const auto it = std::min_element(
+      edges.begin(), edges.end(),
+      [](const SuccessorEdge& a, const SuccessorEdge& b) {
+        return a.nab < b.nab;
+      });
+  return static_cast<std::size_t>(it - edges.begin());
+}
+
+// Distinct ids, N_AB from `levels` distinct values (few levels = many ties).
+Edges random_edges(Rng& rng, std::size_t n, bool spill, std::uint64_t levels) {
+  Edges edges;
+  if (spill) edges.reserve(32);
+  while (edges.size() < n) {
+    const FileId id(static_cast<std::uint32_t>(rng.next_below(64)));
+    if (reference_find(edges, id) < edges.size()) continue;
+    edges.push_back(
+        {id, 0.5f + static_cast<float>(rng.next_below(levels)) * 0.25f});
+  }
+  EXPECT_EQ(edges.is_inline(), !spill && n <= 8);
+  return edges;
+}
+
+TEST(SuccessorScan, FindMatchesReferenceAtEverySize) {
+  Rng rng(7);
+  for (const bool spill : {false, true}) {
+    for (std::size_t n = 0; n <= 16; ++n) {
+      for (int rep = 0; rep < 20; ++rep) {
+        const Edges edges = random_edges(rng, n, spill, 1000);
+        for (std::uint32_t id = 0; id < 64; ++id) {
+          const std::size_t want = reference_find(edges, FileId(id));
+          ASSERT_EQ(find_successor(edges.data(), n, FileId(id)), want)
+              << "n=" << n << " id=" << id << " spill=" << spill;
+          ASSERT_EQ(find_successor_scalar(edges.data(), n, FileId(id)), want)
+              << "n=" << n << " id=" << id << " spill=" << spill;
+        }
+      }
+    }
+  }
+}
+
+TEST(SuccessorScan, FindNeverMatchesAnNabLane) {
+  // The searched id's bit pattern equals every edge's N_AB float: only the
+  // id lanes may be compared. Once appended, the real edge is found at its
+  // own index.
+  const float nab = 1.5f;
+  const FileId decoy(std::bit_cast<std::uint32_t>(nab));
+  for (const bool spill : {false, true}) {
+    for (std::size_t n = 0; n <= 16; ++n) {
+      Edges edges;
+      if (spill) edges.reserve(32);
+      for (std::size_t i = 0; i < n; ++i)
+        edges.push_back({FileId(static_cast<std::uint32_t>(i)), nab});
+      EXPECT_EQ(find_successor(edges.data(), n, decoy), n) << "n=" << n;
+      EXPECT_EQ(find_successor_scalar(edges.data(), n, decoy), n);
+      if (n == 16) continue;
+      edges.push_back({decoy, nab});
+      EXPECT_EQ(find_successor(edges.data(), n + 1, decoy), n) << "n=" << n;
+      EXPECT_EQ(find_successor_scalar(edges.data(), n + 1, decoy), n);
+    }
+  }
+}
+
+TEST(SuccessorScan, WeakestMatchesReferenceAtEverySize) {
+  Rng rng(11);
+  for (const bool spill : {false, true}) {
+    for (std::size_t n = 1; n <= 16; ++n) {
+      for (int rep = 0; rep < 200; ++rep) {
+        const Edges edges = random_edges(rng, n, spill, rep % 2 ? 3 : 1000);
+        const std::size_t want = reference_weakest(edges);
+        ASSERT_EQ(weakest_successor(edges.data(), n), want)
+            << "n=" << n << " rep=" << rep << " spill=" << spill;
+        ASSERT_EQ(weakest_successor_scalar(edges.data(), n), want)
+            << "n=" << n << " rep=" << rep << " spill=" << spill;
+      }
+    }
+  }
+}
+
+TEST(SuccessorScan, WeakestTieGoesToFirstMinimum) {
+  // Several edges share the minimum N_AB; the victim is the first of them
+  // wherever the tied run sits: inside a four-edge group, across groups,
+  // or in the tail past the last full group.
+  for (std::size_t n = 1; n <= 16; ++n) {
+    for (std::size_t first = 0; first < n; ++first) {
+      Edges edges;
+      for (std::size_t i = 0; i < n; ++i)
+        edges.push_back({FileId(static_cast<std::uint32_t>(i)), 2.0f});
+      for (std::size_t i = first; i < n; i += 3) edges[i].nab = 0.75f;
+      EXPECT_EQ(weakest_successor(edges.data(), n), first) << "n=" << n;
+      EXPECT_EQ(weakest_successor_scalar(edges.data(), n), first);
+    }
+  }
 }
 
 }  // namespace
