@@ -76,14 +76,6 @@ bool same_context(const SemanticVector& a, const SemanticVector& b) noexcept {
   return true;
 }
 
-/// The Correlator-List order: degree descending, FileId ascending on ties.
-/// Over unique FileIds this is a strict total order, so the sorted
-/// permutation is unique — any correct sort produces the same bytes.
-bool correlator_before(const Correlator& a, const Correlator& b) noexcept {
-  if (a.degree != b.degree) return a.degree > b.degree;
-  return a.file < b.file;
-}
-
 }  // namespace
 
 void Farmer::observe_impl(const TraceRecord& rec) {

@@ -149,11 +149,7 @@ class ShardedFarmer final : public CorrelationMiner {
   /// what keeps cluster queries byte-identical to sharded ones.
   [[nodiscard]] static std::vector<Correlator> merge_concatenated(
       std::vector<Correlator> merged, std::size_t capacity) {
-    std::sort(merged.begin(), merged.end(),
-              [](const Correlator& a, const Correlator& b) {
-                if (a.degree != b.degree) return a.degree > b.degree;
-                return a.file < b.file;
-              });
+    std::sort(merged.begin(), merged.end(), correlator_before);
     // Deduplicate successors: the strongest shard wins.
     std::vector<Correlator> out;
     for (const Correlator& c : merged) {

@@ -83,8 +83,9 @@ const SmallVector<Correlator, 4>& CorrelationGraph::correlators(
 void CorrelationGraph::upsert_correlator(Node& node, Correlator c) const {
   auto& list = node.correlator_list;
   // Remove any stale entry for the same successor, then insert in sorted
-  // position (descending degree). Lists are tiny (<= correlator_capacity),
-  // so linear work beats any clever structure.
+  // position (correlator_before: an equal degree goes after the smaller
+  // FileIds). Lists are tiny (<= correlator_capacity), so linear work beats
+  // any clever structure.
   for (std::size_t i = 0; i < list.size(); ++i) {
     if (list[i].file == c.file) {
       list.erase_at(i);
@@ -92,7 +93,7 @@ void CorrelationGraph::upsert_correlator(Node& node, Correlator c) const {
     }
   }
   std::size_t pos = 0;
-  while (pos < list.size() && list[pos].degree >= c.degree) ++pos;
+  while (pos < list.size() && correlator_before(list[pos], c)) ++pos;
   if (pos >= cfg_.correlator_capacity) return;  // too weak for a full list
   list.push_back(c);  // grow by one, then shift into place
   for (std::size_t i = list.size() - 1; i > pos; --i) list[i] = list[i - 1];

@@ -53,6 +53,15 @@ struct Correlator {
   float degree = 0.0f;  ///< file correlation degree R(A, B)
 };
 
+/// The Correlator-List order: degree descending, FileId ascending on ties.
+/// Over unique FileIds this is a strict total order, so a sorted list has
+/// exactly one permutation — any correct sort produces the same bytes.
+[[nodiscard]] constexpr bool correlator_before(const Correlator& a,
+                                               const Correlator& b) noexcept {
+  if (a.degree != b.degree) return a.degree > b.degree;
+  return a.file < b.file;
+}
+
 // Successor-set scans. A node holds up to `max_successors` (16 by default)
 // edges, and every ingest pair scans them once or twice, so both scans have
 // an SSE2 form (the x86-64 baseline, no flag needed) next to the portable
@@ -233,8 +242,9 @@ class CorrelationGraph {
       FileId f) const noexcept;
 
   /// Replaces/inserts `c` in the node's Correlator List keeping it sorted
-  /// by descending degree and capped at `correlator_capacity`. An existing
-  /// entry for the same file is updated in place (and re-sorted).
+  /// by `correlator_before` and capped at `correlator_capacity` (the cut
+  /// drops the entries that sort last). An existing entry for the same file
+  /// is updated in place (and re-sorted).
   void upsert_correlator(Node& node, Correlator c) const;
 
   /// Removes the entry for `succ` from the node's list if present.

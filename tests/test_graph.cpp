@@ -189,6 +189,27 @@ TEST(CorrelationGraph, WeakEntryNotInsertedWhenFull) {
   EXPECT_EQ(list[1].file, FileId(2));
 }
 
+TEST(CorrelationGraph, CorrelatorTiesOrderByFileId) {
+  // Equal degrees sort by ascending FileId whatever the insertion order,
+  // and the capacity cut drops the tied entries that sort last.
+  CorrelationGraph g({16, /*correlator_capacity=*/3});
+  auto& node = g.mutate(FileId(0));
+  g.upsert_correlator(node, {FileId(7), 0.5f});
+  g.upsert_correlator(node, {FileId(5), 0.5f});
+  g.upsert_correlator(node, {FileId(9), 0.9f});
+  g.upsert_correlator(node, {FileId(6), 0.5f});
+  const auto& list = g.correlators(FileId(0));
+  ASSERT_EQ(list.size(), 3u);
+  EXPECT_EQ(list[0].file, FileId(9));
+  EXPECT_EQ(list[1].file, FileId(5));
+  EXPECT_EQ(list[2].file, FileId(6));
+  g.upsert_correlator(node, {FileId(8), 0.5f});  // sorts after 6: cut
+  EXPECT_EQ(list[2].file, FileId(6));
+  g.upsert_correlator(node, {FileId(4), 0.5f});  // sorts before 5: kept
+  EXPECT_EQ(list[1].file, FileId(4));
+  EXPECT_EQ(list[2].file, FileId(5));
+}
+
 TEST(CorrelationGraph, RemoveCorrelator) {
   CorrelationGraph g;
   auto& node = g.mutate(FileId(0));
