@@ -80,7 +80,7 @@ const SmallVector<Correlator, 4>& CorrelationGraph::correlators(
   return n ? n->correlator_list : kNoCorrelators;
 }
 
-void CorrelationGraph::upsert_correlator(Node& node, Correlator c) const {
+void CorrelationGraph::upsert_correlator(Node& node, Correlator c) {
   auto& list = node.correlator_list;
   // Remove any stale entry for the same successor, then insert in sorted
   // position (correlator_before: an equal degree goes after the smaller

@@ -93,7 +93,7 @@ static_assert(sizeof(SuccessorEdge) == 8 &&
                   offsetof(SuccessorEdge, nab) == 4,
               "the SSE2 scans read edges as {id, nab} 32-bit lane pairs");
 
-/// Lanes of four consecutive edges: `which` = _MM_SHUFFLE(2, 0, 2, 0)
+/// Lanes of four consecutive edges: `Which` = _MM_SHUFFLE(2, 0, 2, 0)
 /// gathers their ids, _MM_SHUFFLE(3, 1, 3, 1) their N_AB floats.
 template <int Which>
 [[nodiscard]] inline __m128 edge_lanes(const SuccessorEdge* e) noexcept {
@@ -245,7 +245,7 @@ class CorrelationGraph {
   /// by `correlator_before` and capped at `correlator_capacity` (the cut
   /// drops the entries that sort last). An existing entry for the same file
   /// is updated in place (and re-sorted).
-  void upsert_correlator(Node& node, Correlator c) const;
+  void upsert_correlator(Node& node, Correlator c);
 
   /// Removes the entry for `succ` from the node's list if present.
   static void remove_correlator(Node& node, FileId succ) noexcept;
