@@ -116,7 +116,8 @@ template <int Which>
   for (; i + 4 <= n; i += 4) {
     const __m128i ids = _mm_castps_si128(
         detail::edge_lanes<_MM_SHUFFLE(2, 0, 2, 0)>(edges + i));
-    const int hit = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(ids, key)));
+    const int hit =
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(ids, key)));
     if (hit != 0)
       return i + static_cast<std::size_t>(std::countr_zero(
                      static_cast<unsigned>(hit)));
