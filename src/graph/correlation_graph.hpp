@@ -23,17 +23,11 @@
 // N_AB).
 #pragma once
 
-#include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 #include "common/cow_store.hpp"
 #include "common/small_vector.hpp"
@@ -63,101 +57,26 @@ struct Correlator {
 }
 
 // Successor-set scans. A node holds up to `max_successors` (16 by default)
-// edges, and every ingest pair scans them once or twice, so both scans have
-// an SSE2 form (the x86-64 baseline, no flag needed) next to the portable
-// scalar loop. The scalar forms are always compiled: they are the fallback
-// on other targets and the reference the SSE2 forms are tested against.
+// edges; the kernel, the refresh and the query path share these loops.
 
 /// Index of the edge to `succ` in edges[0, n), or n when absent.
-[[nodiscard]] inline std::size_t find_successor_scalar(
-    const SuccessorEdge* edges, std::size_t n, FileId succ) noexcept {
+[[nodiscard]] inline std::size_t find_successor(const SuccessorEdge* edges,
+                                                std::size_t n,
+                                                FileId succ) noexcept {
   for (std::size_t i = 0; i < n; ++i)
     if (edges[i].successor == succ) return i;
   return n;
 }
 
 /// Index of the weakest edge (smallest N_AB; the first one on ties) in
-/// edges[0, n), n > 0.
-[[nodiscard]] inline std::size_t weakest_successor_scalar(
+/// edges[0, n), n > 0: the eviction victim when the set is full.
+[[nodiscard]] inline std::size_t weakest_successor(
     const SuccessorEdge* edges, std::size_t n) noexcept {
   assert(n > 0);
   std::size_t weakest = 0;
   for (std::size_t i = 1; i < n; ++i)
     if (edges[i].nab < edges[weakest].nab) weakest = i;
   return weakest;
-}
-
-#if defined(__SSE2__)
-namespace detail {
-static_assert(sizeof(SuccessorEdge) == 8 &&
-                  offsetof(SuccessorEdge, nab) == 4,
-              "the SSE2 scans read edges as {id, nab} 32-bit lane pairs");
-
-/// Lanes of four consecutive edges: `Which` = _MM_SHUFFLE(2, 0, 2, 0)
-/// gathers their ids, _MM_SHUFFLE(3, 1, 3, 1) their N_AB floats.
-template <int Which>
-[[nodiscard]] inline __m128 edge_lanes(const SuccessorEdge* e) noexcept {
-  const __m128 lo = _mm_loadu_ps(reinterpret_cast<const float*>(e));
-  const __m128 hi = _mm_loadu_ps(reinterpret_cast<const float*>(e + 2));
-  return _mm_shuffle_ps(lo, hi, Which);
-}
-}  // namespace detail
-#endif
-
-/// find_successor_scalar, four ids per compare under SSE2. The shuffle
-/// keeps only the id lanes, so an N_AB float whose bits equal the id can
-/// never match.
-[[nodiscard]] inline std::size_t find_successor(const SuccessorEdge* edges,
-                                                std::size_t n,
-                                                FileId succ) noexcept {
-#if defined(__SSE2__)
-  const __m128i key = _mm_set1_epi32(static_cast<int>(succ.value()));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i ids = _mm_castps_si128(
-        detail::edge_lanes<_MM_SHUFFLE(2, 0, 2, 0)>(edges + i));
-    const int hit =
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(ids, key)));
-    if (hit != 0)
-      return i + static_cast<std::size_t>(std::countr_zero(
-                     static_cast<unsigned>(hit)));
-  }
-  return i + find_successor_scalar(edges + i, n - i, succ);
-#else
-  return find_successor_scalar(edges, n, succ);
-#endif
-}
-
-/// weakest_successor_scalar under SSE2: the minimum N_AB first, then the
-/// first edge equal to it, which keeps the scalar rule that ties go to the
-/// first minimum (N_AB is a sum of positive weights, never NaN).
-[[nodiscard]] inline std::size_t weakest_successor(const SuccessorEdge* edges,
-                                                   std::size_t n) noexcept {
-#if defined(__SSE2__)
-  if (n >= 4) {
-    constexpr int kNab = _MM_SHUFFLE(3, 1, 3, 1);
-    __m128 lo = detail::edge_lanes<kNab>(edges);
-    std::size_t i = 4;
-    for (; i + 4 <= n; i += 4)
-      lo = _mm_min_ps(lo, detail::edge_lanes<kNab>(edges + i));
-    lo = _mm_min_ps(lo, _mm_movehl_ps(lo, lo));
-    lo = _mm_min_ss(lo, _mm_shuffle_ps(lo, lo, _MM_SHUFFLE(1, 1, 1, 1)));
-    float least = _mm_cvtss_f32(lo);
-    for (; i < n; ++i) least = std::min(least, edges[i].nab);
-    const __m128 key = _mm_set1_ps(least);
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const int hit = _mm_movemask_ps(
-          _mm_cmpeq_ps(detail::edge_lanes<kNab>(edges + j), key));
-      if (hit != 0)
-        return j + static_cast<std::size_t>(std::countr_zero(
-                       static_cast<unsigned>(hit)));
-    }
-    while (edges[j].nab != least) ++j;  // the minimum is in the tail
-    return j;
-  }
-#endif
-  return weakest_successor_scalar(edges, n);
 }
 
 class CorrelationGraph {

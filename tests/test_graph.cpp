@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -266,10 +265,9 @@ TEST(CorrelationGraph, NodeCountTracksHighestId) {
 
 // ------------------------------------------------------- successor scans --
 //
-// find_successor / weakest_successor take an SSE2 path on x86-64 and fall
-// back to the *_scalar loops elsewhere. Both forms are checked against
-// plain references written here, over every set size the graph produces
-// (0..16 edges), with the edges both inline and spilled to the heap.
+// find_successor / weakest_successor are checked against plain references
+// written here, over every set size the graph produces (0..16 edges), with
+// the edges both inline and spilled to the heap.
 
 using Edges = SmallVector<SuccessorEdge, 8>;
 
@@ -314,32 +312,8 @@ TEST(SuccessorScan, FindMatchesReferenceAtEverySize) {
           const std::size_t want = reference_find(edges, FileId(id));
           ASSERT_EQ(find_successor(edges.data(), n, FileId(id)), want)
               << "n=" << n << " id=" << id << " spill=" << spill;
-          ASSERT_EQ(find_successor_scalar(edges.data(), n, FileId(id)), want)
-              << "n=" << n << " id=" << id << " spill=" << spill;
         }
       }
-    }
-  }
-}
-
-TEST(SuccessorScan, FindNeverMatchesAnNabLane) {
-  // The searched id's bit pattern equals every edge's N_AB float: only the
-  // id lanes may be compared. Once appended, the real edge is found at its
-  // own index.
-  const float nab = 1.5f;
-  const FileId decoy(std::bit_cast<std::uint32_t>(nab));
-  for (const bool spill : {false, true}) {
-    for (std::size_t n = 0; n <= 16; ++n) {
-      Edges edges;
-      if (spill) edges.reserve(32);
-      for (std::size_t i = 0; i < n; ++i)
-        edges.push_back({FileId(static_cast<std::uint32_t>(i)), nab});
-      EXPECT_EQ(find_successor(edges.data(), n, decoy), n) << "n=" << n;
-      EXPECT_EQ(find_successor_scalar(edges.data(), n, decoy), n);
-      if (n == 16) continue;
-      edges.push_back({decoy, nab});
-      EXPECT_EQ(find_successor(edges.data(), n + 1, decoy), n) << "n=" << n;
-      EXPECT_EQ(find_successor_scalar(edges.data(), n + 1, decoy), n);
     }
   }
 }
@@ -353,8 +327,6 @@ TEST(SuccessorScan, WeakestMatchesReferenceAtEverySize) {
         const std::size_t want = reference_weakest(edges);
         ASSERT_EQ(weakest_successor(edges.data(), n), want)
             << "n=" << n << " rep=" << rep << " spill=" << spill;
-        ASSERT_EQ(weakest_successor_scalar(edges.data(), n), want)
-            << "n=" << n << " rep=" << rep << " spill=" << spill;
       }
     }
   }
@@ -362,8 +334,7 @@ TEST(SuccessorScan, WeakestMatchesReferenceAtEverySize) {
 
 TEST(SuccessorScan, WeakestTieGoesToFirstMinimum) {
   // Several edges share the minimum N_AB; the victim is the first of them
-  // wherever the tied run sits: inside a four-edge group, across groups,
-  // or in the tail past the last full group.
+  // wherever the tied run sits.
   for (std::size_t n = 1; n <= 16; ++n) {
     for (std::size_t first = 0; first < n; ++first) {
       Edges edges;
@@ -371,7 +342,6 @@ TEST(SuccessorScan, WeakestTieGoesToFirstMinimum) {
         edges.push_back({FileId(static_cast<std::uint32_t>(i)), 2.0f});
       for (std::size_t i = first; i < n; i += 3) edges[i].nab = 0.75f;
       EXPECT_EQ(weakest_successor(edges.data(), n), first) << "n=" << n;
-      EXPECT_EQ(weakest_successor_scalar(edges.data(), n), first);
     }
   }
 }
