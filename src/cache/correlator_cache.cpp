@@ -18,11 +18,7 @@ CorrelatorCache::CorrelatorCache(std::size_t capacity, CachePolicy policy,
   stripes_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto s = std::make_unique<Stripe>();
-    s->policy = make_policy(policy);
-    // ARC sizes its ghost lists from the capacity it manages — here, one
-    // stripe's share (same wiring as MetadataCache's constructor).
-    if (auto* arc = dynamic_cast<ArcPolicy*>(s->policy.get()))
-      arc->set_capacity(per_stripe_capacity_);
+    s->policy = make_policy(policy, per_stripe_capacity_);
     stripes_.push_back(std::move(s));
   }
 }
@@ -55,20 +51,25 @@ std::optional<std::vector<Correlator>> CorrelatorCache::lookup(
   if (!enabled()) return std::nullopt;
   Stripe& st = stripe_of(f);
   std::lock_guard<std::mutex> lk(st.mu);
-  const auto it = st.entries.find(f);
-  if (it == st.entries.end()) {
+  const Slot s = st.index.find(f);
+  if (s == SlotIndex::kNone) {
     ++st.stats.misses;
     return std::nullopt;
   }
-  if (!revalidate(it->second, current_epochs, still_absent)) {
-    st.policy->on_erase(f);
-    st.entries.erase(it);
+  if (!revalidate(st.entries[s], current_epochs, still_absent)) {
+    drop(st, s);
     ++st.stats.invalidations;
     return std::nullopt;
   }
-  st.policy->on_access(f);
+  st.policy->on_access(s);
   ++st.stats.hits;
-  return it->second.list;
+  return st.entries[s].list;
+}
+
+void CorrelatorCache::drop(Stripe& st, Slot s) {
+  st.policy->on_erase(s);
+  st.index.erase(st.index.key(s));
+  st.entries[s] = Entry{};
 }
 
 void CorrelatorCache::insert(FileId f, std::span<const std::uint64_t> epochs,
@@ -77,30 +78,35 @@ void CorrelatorCache::insert(FileId f, std::span<const std::uint64_t> epochs,
   if (!enabled()) return;
   Stripe& st = stripe_of(f);
   std::lock_guard<std::mutex> lk(st.mu);
-  auto [it, fresh] = st.entries.try_emplace(f);
-  it->second.list = std::move(list);
-  it->second.epochs.assign(epochs.begin(), epochs.end());
-  it->second.contained = std::move(contained);
+  Slot s = st.index.find(f);
+  const bool fresh = s == SlotIndex::kNone;
   if (fresh) {
-    st.policy->on_insert(f);
+    s = st.index.insert(f);
+    if (s >= st.entries.size()) st.entries.resize(s + 1);
+  }
+  Entry& e = st.entries[s];
+  e.list = std::move(list);
+  e.epochs.assign(epochs.begin(), epochs.end());
+  e.contained = std::move(contained);
+  if (fresh) {
+    st.policy->on_insert(s, f);
     ++st.stats.insertions;
-    while (st.entries.size() > per_stripe_capacity_) {
-      const std::optional<FileId> victim = st.policy->victim();
-      if (!victim) break;  // defensive: policy lost track, stop evicting
-      st.policy->on_erase(*victim);
-      st.entries.erase(*victim);
+    while (st.index.size() > per_stripe_capacity_) {
+      const Slot victim = st.policy->victim();
+      if (victim == SlotIndex::kNone) break;  // defensive: stop evicting
+      drop(st, victim);
       ++st.stats.evictions;
     }
   } else {
-    st.policy->on_access(f);
+    st.policy->on_access(s);
   }
 }
 
 void CorrelatorCache::clear() {
   for (auto& st : stripes_) {
     std::lock_guard<std::mutex> lk(st->mu);
-    for (const auto& [f, e] : st->entries) st->policy->on_erase(f);
-    st->entries.clear();
+    for (Slot s = 0; s < st->index.slots(); ++s)
+      if (st->index.key(s).valid()) drop(*st, s);
   }
 }
 
@@ -108,7 +114,7 @@ std::size_t CorrelatorCache::size() const {
   std::size_t n = 0;
   for (const auto& st : stripes_) {
     std::lock_guard<std::mutex> lk(st->mu);
-    n += st->entries.size();
+    n += st->index.size();
   }
   return n;
 }
@@ -131,8 +137,9 @@ std::size_t CorrelatorCache::footprint_bytes() const {
   for (const auto& st : stripes_) {
     std::lock_guard<std::mutex> lk(st->mu);
     bytes += sizeof(Stripe);
-    for (const auto& [f, e] : st->entries) {
-      (void)f;
+    for (Slot s = 0; s < st->index.slots(); ++s) {
+      if (!st->index.key(s).valid()) continue;
+      const Entry& e = st->entries[s];
       bytes += sizeof(FileId) + sizeof(Entry) +
                e.list.capacity() * sizeof(Correlator) +
                e.epochs.capacity() * sizeof(std::uint64_t) +

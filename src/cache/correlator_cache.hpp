@@ -36,7 +36,6 @@
 #include <optional>
 #include <span>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/replacement.hpp"
@@ -129,12 +128,15 @@ class CorrelatorCache {
 
   struct Stripe {
     mutable std::mutex mu;
-    std::unordered_map<FileId, Entry> entries;
+    SlotIndex index;
+    std::vector<Entry> entries;  // by index slot
     std::unique_ptr<ReplacementPolicy> policy;
     CorrelatorCacheStats stats;  // guarded by mu, aggregated on demand
   };
 
   [[nodiscard]] Stripe& stripe_of(FileId f) noexcept;
+  /// Removes slot `s`'s entry from the stripe.
+  static void drop(Stripe& st, Slot s);
   /// True when the entry may still be served; advances the entry's recorded
   /// epochs past shards verified still-absent.
   [[nodiscard]] static bool revalidate(

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "cache/replacement.hpp"
 #include "common/stats.hpp"
@@ -66,7 +67,7 @@ class MetadataCache {
   /// Zeroes the counters without touching residency (warm-up support).
   void reset_stats() noexcept { stats_ = CacheStats{}; }
 
-  [[nodiscard]] std::size_t size() const noexcept { return resident_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const char* policy_name() const noexcept {
@@ -74,12 +75,13 @@ class MetadataCache {
   }
 
  private:
-  void evict_if_full();
+  bool insert(FileId f, bool prefetched);
 
   std::size_t capacity_;
   std::unique_ptr<ReplacementPolicy> policy_;
-  // Resident set; value = entry came from prefetch and is still unused.
-  std::unordered_map<FileId, bool> resident_;
+  SlotIndex index_;  // the resident set
+  // By slot: the entry came from prefetch and has not served a hit yet.
+  std::vector<std::uint8_t> prefetched_unused_;
   CacheStats stats_;
 };
 

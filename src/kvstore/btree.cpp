@@ -143,11 +143,16 @@ void BTreeStore::insert_into_parent(std::vector<Interior*>& path, Node* left,
 }
 
 std::optional<std::string> BTreeStore::get(std::uint64_t key) const {
+  if (const std::string* v = find(key)) return *v;
+  return std::nullopt;
+}
+
+const std::string* BTreeStore::find(std::uint64_t key) const {
   const Leaf* leaf = find_leaf(key);
   const auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
   if (it != leaf->keys.end() && *it == key)
-    return leaf->values[static_cast<std::size_t>(it - leaf->keys.begin())];
-  return std::nullopt;
+    return &leaf->values[static_cast<std::size_t>(it - leaf->keys.begin())];
+  return nullptr;
 }
 
 bool BTreeStore::erase(std::uint64_t key) {

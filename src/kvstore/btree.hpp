@@ -29,6 +29,9 @@ class BTreeStore final : public KvStore {
   void put(std::uint64_t key, std::string_view value) override;
   [[nodiscard]] std::optional<std::string> get(
       std::uint64_t key) const override;
+  /// Point lookup without the copy: the stored value, or nullptr when
+  /// absent. The pointer is valid until the next put() or erase().
+  [[nodiscard]] const std::string* find(std::uint64_t key) const;
   bool erase(std::uint64_t key) override;
   [[nodiscard]] std::size_t size() const override { return size_; }
   void scan(std::uint64_t lo, std::uint64_t hi,

@@ -3,15 +3,15 @@
 #include <unistd.h>
 
 #include <filesystem>
-#include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "analysis/experiment.hpp"
 #include "api/correlation_miner.hpp"
 #include "core/config.hpp"
 #include "sim/simulator.hpp"
-#include "storage/mds.hpp"
+#include "storage/cluster.hpp"
 
 namespace farmer {
 
@@ -28,15 +28,6 @@ ServingResult serve(const ScenarioSpec& spec, const ScenarioWorkload& wl,
   const std::size_t begin = std::min(wl.pretrain_records, recs.size());
   const std::size_t n = recs.size() - begin;
   if (n == 0) return res;
-
-  Simulator sim;
-  MdsConfig mcfg;
-  mcfg.cache_capacity = spec.cache_capacity ? spec.cache_capacity
-                                            : default_cache_capacity(wl.trace);
-  mcfg.prefetch_degree =
-      spec.prefetch_degree ? spec.prefetch_degree : kDefaultPrefetchDegree;
-  MdsServer mds(sim, mcfg, predictor);
-  mds.populate(wl.trace.file_count());
 
   // Serving time starts at 0 at the first served record; arrivals and churn
   // events share the spec's time_scale.
@@ -55,6 +46,22 @@ ServingResult serve(const ScenarioSpec& spec, const ScenarioWorkload& wl,
 
   std::vector<LatencyHistogram> whist(nwin);
   std::uint64_t invalidations = 0;
+
+  // The MDS's response sink: every completion bins its response time into
+  // the window containing the completion instant.
+  Simulator sim;
+  MdsConfig mcfg;
+  mcfg.cache_capacity = spec.cache_capacity ? spec.cache_capacity
+                                            : default_cache_capacity(wl.trace);
+  mcfg.prefetch_degree =
+      spec.prefetch_degree ? spec.prefetch_degree : kDefaultPrefetchDegree;
+  MdsServer mds(sim, mcfg, predictor, [&](SimTime rt) {
+    res.response.record(static_cast<std::uint64_t>(rt));
+    const auto idx = std::min(
+        nwin - 1, static_cast<std::size_t>(sim.now() / window_len));
+    whist[idx].record(static_cast<std::uint64_t>(rt));
+  });
+  mds.populate(wl.trace.file_count());
 
   // Cumulative counters at the previous window close; the window's numbers
   // are diffs against these.
@@ -98,25 +105,9 @@ ServingResult serve(const ScenarioSpec& spec, const ScenarioWorkload& wl,
     });
   }
 
-  // Self-clocking arrival chain (see storage/cluster.cpp for the weak_ptr
-  // rationale): each arrival schedules the next, and every completion bins
-  // its response time into the window containing the completion instant.
-  const auto record_response = [&](SimTime rt) {
-    res.response.record(static_cast<std::uint64_t>(rt));
-    const auto idx = std::min(
-        nwin - 1, static_cast<std::size_t>(sim.now() / window_len));
-    whist[idx].record(static_cast<std::uint64_t>(rt));
-  };
-  auto issue = std::make_shared<std::function<void(std::size_t)>>();
-  *issue = [&, weak = std::weak_ptr(issue)](std::size_t i) {
-    if (i + 1 < recs.size())
-      sim.schedule_at(scaled(recs[i + 1].timestamp), [weak, i] {
-        if (const auto self = weak.lock()) (*self)(i + 1);
-      });
-    mds.handle_demand(recs[i], record_response);
-  };
-  sim.schedule_at(0, [issue, begin] { (*issue)(begin); });
-
+  ArrivalChain arrivals(sim, mds, std::span(recs).subspan(begin), tb,
+                        spec.time_scale);
+  arrivals.start();
   sim.run();
 
   close_window(nwin - 1, sim.now());

@@ -4,45 +4,61 @@ namespace farmer {
 
 void ServiceStation::submit(int priority, SimTime service_time,
                             Completion done) {
-  Job job{sim_.now(), service_time, std::move(done)};
-  if (priority == kDemand)
-    demand_q_.push_back(std::move(job));
-  else
-    prefetch_q_.push_back(std::move(job));
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(completions_.size());
+    completions_.push_back(std::move(done));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    completions_[slot] = std::move(done);
+  }
+  (priority == kDemand ? demand_q_ : prefetch_q_)
+      .push({sim_.now(), service_time, slot});
   try_dispatch();
+}
+
+void ServiceStation::Queue::push(const Job& job) {
+  if (head > 0 && 2 * head >= jobs.size()) {
+    jobs.erase(jobs.begin(), jobs.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  jobs.push_back(job);
 }
 
 void ServiceStation::try_dispatch() {
   while (free_servers_ > 0) {
-    if (!demand_q_.empty()) {
-      Job job = std::move(demand_q_.front());
-      demand_q_.pop_front();
-      start(std::move(job), kDemand);
-    } else if (!prefetch_q_.empty()) {
-      Job job = std::move(prefetch_q_.front());
-      prefetch_q_.pop_front();
-      start(std::move(job), kPrefetch);
+    if (demand_q_.size() > 0) {
+      start(demand_q_.pop(), kDemand);
+    } else if (prefetch_q_.size() > 0) {
+      start(prefetch_q_.pop(), kPrefetch);
     } else {
       break;
     }
   }
 }
 
-void ServiceStation::start(Job job, int priority) {
+void ServiceStation::start(const Job& job, int priority) {
   --free_servers_;
   ++busy_;
   const auto wait = static_cast<double>(sim_.now() - job.enqueue_time);
   (priority == kDemand ? demand_wait_ : prefetch_wait_).add(wait);
-  // Move the completion into the event; the station's own bookkeeping event
-  // runs first (same timestamp, earlier sequence) to free the server.
   sim_.schedule_after(job.service_time,
-                      [this, done = std::move(job.done)]() mutable {
-                        ++free_servers_;
-                        --busy_;
-                        ++completed_;
-                        if (done) done();
-                        try_dispatch();
-                      });
+                      [this, slot = job.slot] { finish(slot); });
+}
+
+void ServiceStation::finish(std::uint32_t slot) {
+  // The station's own bookkeeping runs first to free the server; the
+  // completion is moved out of its slot before it runs, since it may
+  // submit more work.
+  ++free_servers_;
+  --busy_;
+  ++completed_;
+  const Completion done = std::move(completions_[slot]);
+  completions_[slot] = nullptr;
+  free_slots_.push_back(slot);
+  if (done) done();
+  try_dispatch();
 }
 
 }  // namespace farmer

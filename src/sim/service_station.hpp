@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "sim/simulator.hpp"
@@ -44,20 +44,38 @@ class ServiceStation {
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
 
  private:
+  // Queued and running jobs name their completion by its slot in
+  // `completions_`, so the service-end event captures two words and the
+  // completion closure is moved once, into its slot.
   struct Job {
     SimTime enqueue_time;
     SimTime service_time;
-    Completion done;
+    std::uint32_t slot;
+  };
+  // FIFO over a vector: pops advance `head`, and a push first drops the
+  // consumed prefix once it is half the vector, so a warm queue never
+  // allocates.
+  struct Queue {
+    std::vector<Job> jobs;
+    std::size_t head = 0;
+    [[nodiscard]] std::size_t size() const noexcept {
+      return jobs.size() - head;
+    }
+    void push(const Job& job);
+    Job pop() noexcept { return jobs[head++]; }
   };
 
   void try_dispatch();
-  void start(Job job, int priority);
+  void start(const Job& job, int priority);
+  void finish(std::uint32_t slot);
 
   Simulator& sim_;
   unsigned free_servers_;
   unsigned busy_ = 0;
-  std::deque<Job> demand_q_;
-  std::deque<Job> prefetch_q_;
+  Queue demand_q_;
+  Queue prefetch_q_;
+  std::vector<Completion> completions_;
+  std::vector<std::uint32_t> free_slots_;
   RunningStats demand_wait_;
   RunningStats prefetch_wait_;
   std::uint64_t completed_ = 0;

@@ -4,44 +4,21 @@ namespace farmer {
 
 ClusterMetrics run_cluster(const Trace& trace, Predictor& predictor,
                            const ClusterConfig& cfg) {
+  ClusterMetrics metrics;
   Simulator sim;
-  MdsServer mds(sim, cfg.mds, predictor);
+  MdsServer mds(sim, cfg.mds, predictor, [&metrics](SimTime rt) {
+    metrics.response.record(static_cast<std::uint64_t>(rt));
+  });
   mds.populate(trace.file_count());
 
-  ClusterMetrics metrics;
-
-  // Self-clocking arrival chain: each arrival schedules the next, keeping
-  // the event queue O(1) in trace length.
-  const auto& records = trace.records;
-  auto arrival_time = [&](std::size_t i) {
-    return static_cast<SimTime>(static_cast<double>(records[i].timestamp) *
-                                cfg.time_scale);
-  };
-
-  // std::function must be copyable; share the recursive closure via a
-  // small heap cell. The closure captures its own cell weakly — a strong
-  // capture would be a shared_ptr cycle (cell -> function -> cell) that
-  // outlives the function and leaks. The local `issue` keeps the cell
-  // alive for the whole run, so lock() cannot fail while events exist.
-  auto issue = std::make_shared<std::function<void(std::size_t)>>();
-  *issue = [&, weak = std::weak_ptr(issue)](std::size_t i) {
-    if (i + 1 < records.size())
-      sim.schedule_at(arrival_time(i + 1), [weak, i] {
-        if (const auto self = weak.lock()) (*self)(i + 1);
-      });
-    mds.handle_demand(records[i], [&metrics](SimTime rt) {
-      metrics.response.record(static_cast<std::uint64_t>(rt));
-    });
-  };
-  if (!records.empty())
-    sim.schedule_at(arrival_time(0), [issue] { (*issue)(0); });
-
+  ArrivalChain arrivals(sim, mds, trace.records, 0, cfg.time_scale);
+  arrivals.start();
   sim.run();
 
   metrics.cache = mds.cache().stats();
   metrics.demand_wait = mds.disk().wait_stats(ServiceStation::kDemand);
   metrics.prefetch_wait = mds.disk().wait_stats(ServiceStation::kPrefetch);
-  metrics.requests = records.size();
+  metrics.requests = trace.records.size();
   metrics.prefetch_batches = mds.prefetch_batches();
   metrics.duplicate_suppressed = mds.duplicate_suppressed();
   metrics.sim_duration = sim.now();

@@ -7,11 +7,52 @@
 // in src/prefetch/replay.hpp.
 #pragma once
 
+#include <span>
+
 #include "common/stats.hpp"
 #include "storage/mds.hpp"
 #include "trace/record.hpp"
 
 namespace farmer {
+
+/// The self-clocking open-loop arrival chain run_cluster() and serve()
+/// drive: record i reaches the MDS at (timestamp - origin) * time_scale,
+/// and each arrival schedules the next, keeping the event queue O(1) in
+/// trace length. Its events capture a pointer to the chain, so the chain
+/// must outlive the simulator run.
+class ArrivalChain {
+ public:
+  ArrivalChain(Simulator& sim, MdsServer& mds,
+               std::span<const TraceRecord> records, SimTime origin,
+               double time_scale)
+      : sim_(sim),
+        mds_(mds),
+        records_(records),
+        origin_(origin),
+        time_scale_(time_scale) {}
+
+  /// Schedules the first arrival.
+  void start() {
+    if (!records_.empty()) sim_.schedule_at(at(0), [this] { arrive(0); });
+  }
+
+ private:
+  [[nodiscard]] SimTime at(std::size_t i) const noexcept {
+    return static_cast<SimTime>(
+        static_cast<double>(records_[i].timestamp - origin_) * time_scale_);
+  }
+  void arrive(std::size_t i) {
+    if (i + 1 < records_.size())
+      sim_.schedule_at(at(i + 1), [this, i] { arrive(i + 1); });
+    mds_.handle_demand(records_[i]);
+  }
+
+  Simulator& sim_;
+  MdsServer& mds_;
+  std::span<const TraceRecord> records_;
+  SimTime origin_;
+  double time_scale_;
+};
 
 struct ClusterConfig {
   MdsConfig mds;

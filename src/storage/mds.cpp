@@ -4,10 +4,12 @@
 
 namespace farmer {
 
-MdsServer::MdsServer(Simulator& sim, MdsConfig cfg, Predictor& predictor)
+MdsServer::MdsServer(Simulator& sim, MdsConfig cfg, Predictor& predictor,
+                     ResponseFn respond)
     : sim_(sim),
       cfg_(cfg),
       predictor_(predictor),
+      respond_(std::move(respond)),
       cache_(cfg.cache_capacity, cfg.policy),
       disk_(sim, cfg.disk_servers),
       rng_(cfg.seed) {}
@@ -31,7 +33,7 @@ SimTime MdsServer::fetch_time() {
   return t > kMicrosecond ? t : kMicrosecond;
 }
 
-void MdsServer::handle_demand(const TraceRecord& rec, ResponseFn respond) {
+void MdsServer::handle_demand(const TraceRecord& rec) {
   const SimTime arrival = sim_.now();
   const FileId file = rec.file;
 
@@ -39,82 +41,86 @@ void MdsServer::handle_demand(const TraceRecord& rec, ResponseFn respond) {
   predictor_.observe(rec);
 
   if (cache_.access(file)) {
-    const SimTime done = arrival + cfg_.cpu_time;
-    sim_.schedule_at(done, [respond = std::move(respond), arrival, done] {
-      respond(done - arrival);
-    });
+    sim_.schedule_at(arrival + cfg_.cpu_time,
+                     [this, arrival] { respond_(sim_.now() - arrival); });
     issue_prefetch(rec);
     return;
   }
 
   // Miss: coalesce with any in-flight fetch of the same file.
-  auto it = inflight_.find(file);
-  if (it != inflight_.end()) {
+  Slot s = inflight_.find(file);
+  if (s != SlotIndex::kNone) {
     ++duplicate_suppressed_;
-    it->second.push_back(
-        [this, arrival, respond = std::move(respond)](SimTime) {
-          respond(sim_.now() + cfg_.cpu_time - arrival);
-        });
+    fetches_[s].waiters.push_back(arrival);
     issue_prefetch(rec);
     return;
   }
 
-  inflight_[file].push_back(
-      [this, arrival, respond = std::move(respond)](SimTime) {
-        respond(sim_.now() + cfg_.cpu_time - arrival);
-      });
-  disk_.submit(ServiceStation::kDemand, fetch_time(), [this, file] {
-    // Verify the record exists in the table — the fetch we just paid for.
-    (void)table_.get(file.value());
-    cache_.insert_demand(file);
-    auto waiters = std::move(inflight_[file]);
-    inflight_.erase(file);
-    for (auto& w : waiters) w(0);
-  });
+  s = begin_fetch(file);
+  fetches_[s].waiters.push_back(arrival);
+  disk_.submit(ServiceStation::kDemand, fetch_time(),
+               [this, s] { land(s, false); });
   issue_prefetch(rec);
+}
+
+Slot MdsServer::begin_fetch(FileId f) {
+  const Slot s = inflight_.insert(f);
+  if (s >= fetches_.size()) fetches_.resize(s + 1);
+  fetches_[s].next_in_batch = SlotIndex::kNone;
+  return s;
+}
+
+void MdsServer::land(Slot s, bool prefetched) {
+  const FileId f = inflight_.key(s);
+  // Read the record this fetch paid for.
+  (void)table_.find(f.value());
+  if (prefetched)
+    cache_.insert_prefetch(f);
+  else
+    cache_.insert_demand(f);
+  inflight_.erase(f);
+  for (const SimTime arrival : fetches_[s].waiters)
+    respond_(sim_.now() + cfg_.cpu_time - arrival);
+  fetches_[s].waiters.clear();
 }
 
 void MdsServer::issue_prefetch(const TraceRecord& rec) {
   if (cfg_.prefetch_degree == 0) return;
   PredictionList predictions;
   predictor_.predict(rec, cfg_.prefetch_degree, predictions);
-  if (predictions.empty()) return;
 
-  // Collect candidates that actually need a fetch.
-  SmallVector<FileId, 8> to_fetch;
+  // Claim the candidates that actually need a fetch, chained in prediction
+  // order through their in-flight slots.
+  Slot head = SlotIndex::kNone, tail = SlotIndex::kNone;
+  std::size_t count = 0;
   for (FileId f : predictions) {
-    if (f == rec.file || cache_.contains(f) || inflight_.count(f)) continue;
-    to_fetch.push_back(f);
-    inflight_[f];  // mark in-flight with no waiters yet
+    if (f == rec.file || cache_.contains(f) ||
+        inflight_.find(f) != SlotIndex::kNone)
+      continue;
+    const Slot s = begin_fetch(f);
+    (tail == SlotIndex::kNone ? head : fetches_[tail].next_in_batch) = s;
+    tail = s;
+    ++count;
   }
-  if (to_fetch.empty()) return;
+  if (count == 0) return;
 
   ++prefetch_batches_;
   if (cfg_.batch_prefetch) {
     // Correlated files are laid out contiguously (Section 4.2), so a group
     // costs one seek plus sequential transfers.
-    const SimTime t =
-        fetch_time() +
-        static_cast<SimTime>(to_fetch.size() - 1) * cfg_.seq_fetch_time;
-    disk_.submit(ServiceStation::kPrefetch, t, [this, to_fetch] {
-      for (FileId f : to_fetch) {
-        (void)table_.get(f.value());
-        cache_.insert_prefetch(f);
-        auto waiters = std::move(inflight_[f]);
-        inflight_.erase(f);
-        for (auto& w : waiters) w(0);
+    const SimTime t = fetch_time() + static_cast<SimTime>(count - 1) *
+                                         cfg_.seq_fetch_time;
+    disk_.submit(ServiceStation::kPrefetch, t, [this, head] {
+      for (Slot s = head; s != SlotIndex::kNone;) {
+        const Slot next = fetches_[s].next_in_batch;
+        land(s, true);
+        s = next;
       }
     });
   } else {
-    for (FileId f : to_fetch) {
-      disk_.submit(ServiceStation::kPrefetch, fetch_time(), [this, f] {
-        (void)table_.get(f.value());
-        cache_.insert_prefetch(f);
-        auto waiters = std::move(inflight_[f]);
-        inflight_.erase(f);
-        for (auto& w : waiters) w(0);
-      });
-    }
+    for (Slot s = head; s != SlotIndex::kNone; s = fetches_[s].next_in_batch)
+      disk_.submit(ServiceStation::kPrefetch, fetch_time(),
+                   [this, s] { land(s, true); });
   }
 }
 

@@ -8,10 +8,13 @@
 //
 // Duplicate suppression: requests for a file already being fetched (demand
 // or prefetch) join the in-flight operation instead of re-hitting the disk.
+//
+// Every response goes to one sink, given at construction. Once warm, the
+// request path allocates nothing: the cache and the in-flight table are
+// flat slot arrays, and each event captures at most two words.
 #pragma once
 
-#include <memory>
-#include <unordered_map>
+#include <functional>
 #include <vector>
 
 #include "cache/metadata_cache.hpp"
@@ -41,16 +44,20 @@ struct MdsConfig {
 
 class MdsServer {
  public:
+  /// Receives each demand's response time when its reply leaves the MDS.
   using ResponseFn = std::function<void(SimTime response_time_us)>;
 
-  MdsServer(Simulator& sim, MdsConfig cfg, Predictor& predictor);
+  /// `respond` is the server's response sink for its whole life. It must
+  /// not call back into the server.
+  MdsServer(Simulator& sim, MdsConfig cfg, Predictor& predictor,
+            ResponseFn respond);
 
   /// Loads the metadata table (one KV record per file).
   void populate(std::size_t file_count);
 
   /// Client-facing entry point: a demand metadata request for `rec.file`
-  /// arriving now. `respond` fires when the reply leaves the MDS.
-  void handle_demand(const TraceRecord& rec, ResponseFn respond);
+  /// arriving now.
+  void handle_demand(const TraceRecord& rec);
 
   /// Drops `f` from the cache if resident (metadata changed under the MDS:
   /// file deleted/recreated — the serving harness's population-churn
@@ -75,17 +82,28 @@ class MdsServer {
   [[nodiscard]] SimTime fetch_time();
 
   void issue_prefetch(const TraceRecord& rec);
+  /// Marks `f` in flight; returns its slot in the in-flight table.
+  Slot begin_fetch(FileId f);
+  /// The fetch in slot `s` landed: cache its file, answer its waiters.
+  void land(Slot s, bool prefetched);
 
   Simulator& sim_;
   MdsConfig cfg_;
   Predictor& predictor_;
+  ResponseFn respond_;
   MetadataCache cache_;
   ServiceStation disk_;
   BTreeStore table_;
   Rng rng_;
 
-  // In-flight fetches: file -> callbacks waiting for it to land.
-  std::unordered_map<FileId, std::vector<ResponseFn>> inflight_;
+  // In-flight fetches: file -> slot, and per slot the arrival times of the
+  // demands waiting for it plus the next file of its prefetch batch.
+  struct Fetch {
+    std::vector<SimTime> waiters;
+    Slot next_in_batch = SlotIndex::kNone;
+  };
+  SlotIndex inflight_;
+  std::vector<Fetch> fetches_;  // by inflight_ slot
   std::uint64_t prefetch_batches_ = 0;
   std::uint64_t duplicate_suppressed_ = 0;
 };

@@ -2,6 +2,7 @@
 // the epoch-validated Correlator-List cache.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
@@ -66,7 +67,7 @@ TEST(Arc, AdaptsToGhostHits) {
 TEST(PolicyFactory, MakesAllPolicies) {
   for (auto p : {CachePolicy::kLRU, CachePolicy::kLFU, CachePolicy::kCLOCK,
                  CachePolicy::kARC}) {
-    const auto policy = make_policy(p);
+    const auto policy = make_policy(p, 4);
     ASSERT_NE(policy, nullptr);
     EXPECT_STREQ(policy->name(), cache_policy_name(p));
   }
@@ -211,6 +212,53 @@ TEST(MetadataCache, EvictionCounterAdvances) {
   MetadataCache c(2, CachePolicy::kLRU);
   for (std::uint32_t i = 0; i < 10; ++i) c.insert_demand(FileId(i));
   EXPECT_EQ(c.stats().evictions, 8u);
+}
+
+TEST(MetadataCache, HugeFileIdsNeedNoDenseStorage) {
+  // Residency is keyed by a hash of the FileId, not indexed by it: ids at
+  // the top of the range cost what small ids cost.
+  MetadataCache c(4, CachePolicy::kLRU);
+  const FileId big(1u << 31);
+  const FileId top(FileId::kInvalid - 1);
+  c.insert_demand(big);
+  EXPECT_TRUE(c.insert_prefetch(top));
+  EXPECT_TRUE(c.access(big));
+  EXPECT_TRUE(c.access(top));
+  EXPECT_EQ(c.stats().prefetch_used, 1u);
+  EXPECT_EQ(c.size(), 2u);
+}
+
+TEST(SlotIndex, MatchesReferenceMapUnderRandomOps) {
+  SlotIndex index;
+  std::map<std::uint32_t, Slot> ref;
+  Rng rng(5);
+  for (int op = 0; op < 20000; ++op) {
+    // Mostly a small key range, so probe runs collide, wrap and shift
+    // back on erase; sometimes a key from anywhere in the id space.
+    const auto k = static_cast<std::uint32_t>(
+        rng.next_bool(0.9) ? rng.next_below(256)
+                           : rng.next_below(FileId::kInvalid));
+    const FileId f(k);
+    const auto it = ref.find(k);
+    ASSERT_EQ(index.find(f), it == ref.end() ? SlotIndex::kNone : it->second)
+        << "op " << op;
+    if (it == ref.end()) {
+      const Slot s = index.insert(f);
+      ASSERT_EQ(index.key(s), f);
+      ref.emplace(k, s);
+    } else {
+      ASSERT_EQ(index.erase(f), it->second);
+      ASSERT_FALSE(index.key(it->second).valid());
+      ref.erase(it);
+    }
+    ASSERT_EQ(index.size(), ref.size());
+  }
+  std::set<Slot> live;
+  for (const auto& [k, s] : ref) {
+    EXPECT_EQ(index.find(FileId(k)), s);
+    EXPECT_TRUE(live.insert(s).second) << "slot " << s << " shared";
+    EXPECT_LT(s, index.slots());
+  }
 }
 
 // LRU stress against a reference model.

@@ -1,9 +1,15 @@
 // Tests for the MDS, OSD, the DES cluster replay, and the message-passing
 // shard tier (wire framing fuzz + transport fault injection).
+//
+// This binary replaces the global allocation functions with counting ones,
+// so the MDS tests can hold the serving path to an allocation budget.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -18,11 +24,24 @@
 #include "net/transport.hpp"
 #include "prefetch/fpa.hpp"
 #include "prefetch/nexus.hpp"
+#include "serve/harness.hpp"
 #include "storage/cluster.hpp"
 #include "storage/osd.hpp"
 #include "test_helpers.hpp"
 #include "trace/generator.hpp"
 #include "trace/trace_io.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace farmer {
 namespace {
@@ -48,16 +67,12 @@ TEST(Mds, HitIsFasterThanMiss) {
   mt.access(a);
   Simulator sim;
   NoopPredictor noop;
-  MdsServer mds(sim, fast_mds(), noop);
-  mds.populate(4);
   std::vector<SimTime> rts;
+  MdsServer mds(sim, fast_mds(), noop, [&](SimTime rt) { rts.push_back(rt); });
+  mds.populate(4);
   const auto& recs = mt.records();
-  sim.schedule_at(0, [&] {
-    mds.handle_demand(recs[0], [&](SimTime rt) { rts.push_back(rt); });
-  });
-  sim.schedule_at(5000, [&] {
-    mds.handle_demand(recs[1], [&](SimTime rt) { rts.push_back(rt); });
-  });
+  sim.schedule_at(0, [&] { mds.handle_demand(recs[0]); });
+  sim.schedule_at(5000, [&] { mds.handle_demand(recs[1]); });
   sim.run();
   ASSERT_EQ(rts.size(), 2u);
   EXPECT_EQ(rts[0], 1000 + 10);  // miss: disk + cpu
@@ -71,13 +86,13 @@ TEST(Mds, DuplicateMissesCoalesce) {
   mt.access(a);
   Simulator sim;
   NoopPredictor noop;
-  MdsServer mds(sim, fast_mds(), noop);
-  mds.populate(4);
   int responses = 0;
+  MdsServer mds(sim, fast_mds(), noop, [&](SimTime) { ++responses; });
+  mds.populate(4);
   const auto& recs = mt.records();
   sim.schedule_at(0, [&] {
-    mds.handle_demand(recs[0], [&](SimTime) { ++responses; });
-    mds.handle_demand(recs[1], [&](SimTime) { ++responses; });
+    mds.handle_demand(recs[0]);
+    mds.handle_demand(recs[1]);
   });
   sim.run();
   EXPECT_EQ(responses, 2);
@@ -102,12 +117,12 @@ TEST(Mds, PrefetchLandsInCache) {
   Simulator sim;
   auto cfg = fast_mds();
   cfg.cache_capacity = 1;
-  MdsServer mds(sim, cfg, fpa);
+  MdsServer mds(sim, cfg, fpa, [](SimTime) {});
   mds.populate(4);
   const auto& recs = mt.records();
   SimTime t = 0;
   for (const auto& r : recs) {
-    sim.schedule_at(t, [&mds, &r] { mds.handle_demand(r, [](SimTime) {}); });
+    sim.schedule_at(t, [&mds, &r] { mds.handle_demand(r); });
     t += 20000;
   }
   sim.run();
@@ -118,10 +133,134 @@ TEST(Mds, PrefetchLandsInCache) {
 TEST(Mds, PopulateFillsTable) {
   Simulator sim;
   NoopPredictor noop;
-  MdsServer mds(sim, fast_mds(), noop);
+  MdsServer mds(sim, fast_mds(), noop, [](SimTime) {});
   mds.populate(100);
   EXPECT_EQ(mds.metadata_table().size(), 100u);
   EXPECT_TRUE(mds.metadata_table().get(99).has_value());
+}
+
+// ---------------------------------------------------- allocation budget --
+
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+TEST(MdsAllocations, WarmCacheHitAllocatesNothing) {
+  MicroTrace mt;
+  const FileId a = mt.file("a", "/p/a");
+  mt.access(a);
+  Simulator sim;
+  NoopPredictor noop;
+  std::uint64_t responses = 0;
+  MdsServer mds(sim, fast_mds(), noop, [&](SimTime) { ++responses; });
+  mds.populate(4);
+  const TraceRecord& rec = mt.records()[0];
+  // Warm-up: the miss fetches the entry, the first hit sizes the queue.
+  for (int i = 0; i < 2; ++i) {
+    mds.handle_demand(rec);
+    sim.run();
+  }
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 1000; ++i) {
+    mds.handle_demand(rec);
+    sim.run();
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(responses, 1002u);
+  EXPECT_EQ(mds.cache().stats().demand.numerator(), 1001u);
+}
+
+TEST(MdsAllocations, WarmMissEvictAndCoalesceAllocatesNothing) {
+  // Three files through a two-entry cache: every round misses, evicts,
+  // fetches from disk and coalesces a duplicate demand onto the fetch.
+  MicroTrace mt;
+  const FileId files[] = {mt.file("a", "/p/a"), mt.file("b", "/p/b"),
+                          mt.file("c", "/p/c")};
+  for (const FileId f : files) mt.access(f);
+  Simulator sim;
+  NoopPredictor noop;
+  auto cfg = fast_mds();
+  cfg.cache_capacity = 2;
+  std::uint64_t responses = 0;
+  MdsServer mds(sim, cfg, noop, [&](SimTime) { ++responses; });
+  mds.populate(4);
+  const auto round = [&] {
+    for (const TraceRecord& rec : mt.records()) {
+      mds.handle_demand(rec);
+      mds.handle_demand(rec);
+      sim.run();
+    }
+  };
+  for (int i = 0; i < 4; ++i) round();
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 200; ++i) round();
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(responses, 204u * 6);
+  EXPECT_EQ(mds.cache().stats().demand.numerator(), 0u);
+  EXPECT_EQ(mds.duplicate_suppressed(), 204u * 3);
+}
+
+/// Serves a predictor's decisions without its model: the first serve()
+/// records every predict() answer of the live predictor, a second serve()
+/// replays them in order. The serving path makes the same calls both times,
+/// so the replay reproduces the run while allocating nothing of its own.
+class RecordedPredictor final : public Predictor {
+ public:
+  explicit RecordedPredictor(Predictor* live) : live_(live) {}
+
+  void observe(const TraceRecord& rec) override {
+    if (live_) live_->observe(rec);
+  }
+  void predict(const TraceRecord& rec, std::size_t limit,
+               PredictionList& out) override {
+    if (live_) {
+      live_->predict(rec, limit, out);
+      files_.insert(files_.end(), out.begin(), out.end());
+      ends_.push_back(files_.size());
+      return;
+    }
+    const std::size_t from = call_ == 0 ? 0 : ends_[call_ - 1];
+    for (std::size_t i = from; i < ends_[call_]; ++i) out.push_back(files_[i]);
+    ++call_;
+  }
+  [[nodiscard]] const char* name() const noexcept override { return "rec"; }
+
+  /// Switches from recording to replaying.
+  void replay() {
+    live_ = nullptr;
+    call_ = 0;
+  }
+
+ private:
+  Predictor* live_;
+  std::vector<FileId> files_;
+  std::vector<std::size_t> ends_;  // per predict() call, into files_
+  std::size_t call_ = 0;
+};
+
+TEST(MdsAllocations, SmokeServeAveragesUnderOneAllocationPerRequest) {
+  const ScenarioSpec spec = scenario_spec("smoke");
+  const ScenarioWorkload wl = build_workload(spec);
+  FarmerConfig cfg;
+  cfg.attributes = wl.trace.has_paths ? AttributeMask::all_with_path()
+                                      : AttributeMask::all_with_fileid();
+  const auto fpa = make_predictor("fpa", cfg, wl.trace.dict);
+  RecordedPredictor predictions(fpa.get());
+  const ServingResult live = serve(spec, wl, predictions);
+  predictions.replay();
+
+  // Everything serve() does besides learning: metadata table load, MDS,
+  // cache, disk queues, event loop and window bookkeeping.
+  const std::uint64_t before = allocations();
+  const ServingResult res = serve(spec, wl, predictions);
+  const double per_request = static_cast<double>(allocations() - before) /
+                             static_cast<double>(res.requests);
+  RecordProperty("allocations_per_request", std::to_string(per_request));
+  ASSERT_GT(res.requests, 0u);
+  EXPECT_EQ(res.cache.demand.numerator(), live.cache.demand.numerator());
+  EXPECT_EQ(res.prefetch_batches, live.prefetch_batches);
+  EXPECT_EQ(res.sim_duration, live.sim_duration);
+  EXPECT_LT(per_request, 1.0);
 }
 
 // -------------------------------------------------------------- cluster --
