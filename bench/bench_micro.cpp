@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -289,14 +290,25 @@ void BM_CacheAccess(benchmark::State& state) {
 BENCHMARK(BM_CacheAccess);
 
 void BM_BTreeGet(benchmark::State& state) {
+  // Arg = value bytes: 13 fits the string's inline buffer, 96 is the MDS's
+  // metadata record. get() copies the value out; find() returns a pointer
+  // to it, as the MDS fetch path reads it.
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const bool copy_free = state.range(1) != 0;
   BTreeStore t;
-  for (std::uint64_t k = 0; k < 100000; ++k) t.put(k, "metadata-blob");
+  const std::string blob(bytes, 'm');
+  for (std::uint64_t k = 0; k < 100000; ++k) t.put(k, blob);
   Rng rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(t.get(rng.next_below(100000)));
+    if (copy_free)
+      benchmark::DoNotOptimize(t.find(rng.next_below(100000)));
+    else
+      benchmark::DoNotOptimize(t.get(rng.next_below(100000)));
   }
+  state.SetLabel(copy_free ? "find" : "get");
 }
-BENCHMARK(BM_BTreeGet);
+BENCHMARK(BM_BTreeGet)->ArgNames({"bytes", "find"})->ArgsProduct({{13, 96},
+                                                                  {0, 1}});
 
 void BM_BTreePut(benchmark::State& state) {
   BTreeStore t;

@@ -4,7 +4,16 @@ namespace farmer {
 
 void Simulator::schedule_at(SimTime at, Callback cb) {
   if (at < now_) at = now_;
-  queue_.push({at, next_seq_++, std::move(cb)});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(cb);
+  }
+  queue_.push({at, next_seq_++, slot});
 }
 
 std::size_t Simulator::run() { return run_until(INT64_MAX); }
@@ -12,14 +21,13 @@ std::size_t Simulator::run() { return run_until(INT64_MAX); }
 std::size_t Simulator::run_until(SimTime deadline) {
   std::size_t n = 0;
   while (!queue_.empty()) {
-    if (queue_.top().at > deadline) break;
-    // priority_queue::top() is const; the callback must be moved out before
-    // pop, so copy the POD fields first and steal the callback via const_cast
-    // — safe because the element is popped immediately after.
-    auto& top = const_cast<Event&>(queue_.top());
-    now_ = top.at;
-    Callback cb = std::move(top.cb);
+    const Event top = queue_.top();
+    if (top.at > deadline) break;
     queue_.pop();
+    now_ = top.at;
+    // Moved out before it runs: the callback may schedule more events.
+    const Callback cb = std::move(callbacks_[top.slot]);
+    free_slots_.push_back(top.slot);
     cb();
     ++n;
     ++executed_;
