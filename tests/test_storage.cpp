@@ -35,13 +35,27 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The plain and nothrow forms share one malloc/free pair (the library
+// frees nothrow allocations with plain delete). Kept out of line: inlined
+// into a delete expression, the free() would look mismatched with the new
+// expression to the compiler.
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  return std::malloc(n == 0 ? 1 : n);
+}
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (void* p = operator new(n, std::nothrow)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace farmer {
 namespace {
