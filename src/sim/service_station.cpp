@@ -4,17 +4,8 @@ namespace farmer {
 
 void ServiceStation::submit(int priority, SimTime service_time,
                             Completion done) {
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(completions_.size());
-    completions_.push_back(std::move(done));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    completions_[slot] = std::move(done);
-  }
   (priority == kDemand ? demand_q_ : prefetch_q_)
-      .push({sim_.now(), service_time, slot});
+      .push({sim_.now(), service_time, completions_.put(std::move(done))});
   try_dispatch();
 }
 
@@ -48,16 +39,11 @@ void ServiceStation::start(const Job& job, int priority) {
 }
 
 void ServiceStation::finish(std::uint32_t slot) {
-  // The station's own bookkeeping runs first to free the server; the
-  // completion is moved out of its slot before it runs, since it may
-  // submit more work.
+  // The station's own bookkeeping runs first to free the server.
   ++free_servers_;
   --busy_;
   ++completed_;
-  const Completion done = std::move(completions_[slot]);
-  completions_[slot] = nullptr;
-  free_slots_.push_back(slot);
-  if (done) done();
+  if (const Completion done = completions_.take(slot)) done();
   try_dispatch();
 }
 

@@ -45,8 +45,7 @@ class ServiceStation {
 
  private:
   // Queued and running jobs name their completion by its slot in
-  // `completions_`, so the service-end event captures two words and the
-  // completion closure is moved once, into its slot.
+  // `completions_`, so the service-end event captures two words.
   struct Job {
     SimTime enqueue_time;
     SimTime service_time;
@@ -74,8 +73,7 @@ class ServiceStation {
   unsigned busy_ = 0;
   Queue demand_q_;
   Queue prefetch_q_;
-  std::vector<Completion> completions_;
-  std::vector<std::uint32_t> free_slots_;
+  CallbackSlots completions_;
   RunningStats demand_wait_;
   RunningStats prefetch_wait_;
   std::uint64_t completed_ = 0;

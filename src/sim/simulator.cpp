@@ -4,16 +4,7 @@ namespace farmer {
 
 void Simulator::schedule_at(SimTime at, Callback cb) {
   if (at < now_) at = now_;
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(callbacks_.size());
-    callbacks_.push_back(std::move(cb));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    callbacks_[slot] = std::move(cb);
-  }
-  queue_.push({at, next_seq_++, slot});
+  queue_.push({at, next_seq_++, callbacks_.put(std::move(cb))});
 }
 
 std::size_t Simulator::run() { return run_until(INT64_MAX); }
@@ -25,10 +16,8 @@ std::size_t Simulator::run_until(SimTime deadline) {
     if (top.at > deadline) break;
     queue_.pop();
     now_ = top.at;
-    // Moved out before it runs: the callback may schedule more events.
-    const Callback cb = std::move(callbacks_[top.slot]);
-    free_slots_.push_back(top.slot);
-    cb();
+    // Taken out before it runs: the callback may schedule more events.
+    callbacks_.take(top.slot)();
     ++n;
     ++executed_;
   }

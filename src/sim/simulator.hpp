@@ -14,6 +14,34 @@
 
 namespace farmer {
 
+/// Callbacks parked under slot numbers until they run. A slot is reused once
+/// its callback is taken, so a warm pool parks callbacks without allocating
+/// (as long as each fits std::function's inline buffer).
+class CallbackSlots {
+ public:
+  std::uint32_t put(std::function<void()> fn) {
+    if (free_.empty()) {
+      fns_.push_back(std::move(fn));
+      return static_cast<std::uint32_t>(fns_.size() - 1);
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    fns_[slot] = std::move(fn);
+    return slot;
+  }
+  /// Moves the callback out and frees its slot.
+  std::function<void()> take(std::uint32_t slot) {
+    std::function<void()> fn = std::move(fns_[slot]);
+    fns_[slot] = nullptr;
+    free_.push_back(slot);
+    return fn;
+  }
+
+ private:
+  std::vector<std::function<void()>> fns_;
+  std::vector<std::uint32_t> free_;
+};
+
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -39,9 +67,9 @@ class Simulator {
   [[nodiscard]] std::size_t executed() const noexcept { return executed_; }
 
  private:
-  // The heap orders small keys; each callback sits in a slot of
-  // `callbacks_` from scheduling until it runs, so a heap sift moves 24
-  // bytes rather than a std::function.
+  // The heap orders small keys; each callback waits in a slot of
+  // `callbacks_`, so a heap sift moves 24 bytes rather than a
+  // std::function.
   struct Event {
     SimTime at;
     std::uint64_t seq;
@@ -55,8 +83,7 @@ class Simulator {
   };
 
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<Callback> callbacks_;
-  std::vector<std::uint32_t> free_slots_;
+  CallbackSlots callbacks_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;
