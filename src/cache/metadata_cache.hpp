@@ -75,6 +75,7 @@ class MetadataCache {
   }
 
  private:
+  /// Inserts `f` unless resident, evicting as needed; false if resident.
   bool insert(FileId f, bool prefetched);
 
   std::size_t capacity_;

@@ -105,8 +105,8 @@ ServingResult serve(const ScenarioSpec& spec, const ScenarioWorkload& wl,
     });
   }
 
-  ArrivalChain arrivals(sim, mds, std::span(recs).subspan(begin), tb,
-                        spec.time_scale);
+  ArrivalChain arrivals{sim, mds, std::span(recs).subspan(begin), tb,
+                        spec.time_scale};
   arrivals.start();
   sim.run();
 

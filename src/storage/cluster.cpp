@@ -11,7 +11,7 @@ ClusterMetrics run_cluster(const Trace& trace, Predictor& predictor,
   });
   mds.populate(trace.file_count());
 
-  ArrivalChain arrivals(sim, mds, trace.records, 0, cfg.time_scale);
+  ArrivalChain arrivals{sim, mds, trace.records, 0, cfg.time_scale};
   arrivals.start();
   sim.run();
 

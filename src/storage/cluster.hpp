@@ -20,38 +20,28 @@ namespace farmer {
 /// and each arrival schedules the next, keeping the event queue O(1) in
 /// trace length. Its events capture a pointer to the chain, so the chain
 /// must outlive the simulator run.
-class ArrivalChain {
- public:
-  ArrivalChain(Simulator& sim, MdsServer& mds,
-               std::span<const TraceRecord> records, SimTime origin,
-               double time_scale)
-      : sim_(sim),
-        mds_(mds),
-        records_(records),
-        origin_(origin),
-        time_scale_(time_scale) {}
+struct ArrivalChain {
+  Simulator& sim;
+  MdsServer& mds;
+  std::span<const TraceRecord> records;
+  SimTime origin;
+  double time_scale;
 
   /// Schedules the first arrival.
   void start() {
-    if (!records_.empty()) sim_.schedule_at(at(0), [this] { arrive(0); });
+    if (!records.empty()) sim.schedule_at(at(0), [this] { arrive(0); });
   }
 
  private:
   [[nodiscard]] SimTime at(std::size_t i) const noexcept {
     return static_cast<SimTime>(
-        static_cast<double>(records_[i].timestamp - origin_) * time_scale_);
+        static_cast<double>(records[i].timestamp - origin) * time_scale);
   }
   void arrive(std::size_t i) {
-    if (i + 1 < records_.size())
-      sim_.schedule_at(at(i + 1), [this, i] { arrive(i + 1); });
-    mds_.handle_demand(records_[i]);
+    if (i + 1 < records.size())
+      sim.schedule_at(at(i + 1), [this, i] { arrive(i + 1); });
+    mds.handle_demand(records[i]);
   }
-
-  Simulator& sim_;
-  MdsServer& mds_;
-  std::span<const TraceRecord> records_;
-  SimTime origin_;
-  double time_scale_;
 };
 
 struct ClusterConfig {
